@@ -1,7 +1,6 @@
 #include "common/simd.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/types.hh"
@@ -42,20 +41,6 @@ blendScalar(float *values, std::size_t n, double progress, double band)
     }
 }
 
-const Kernels &
-selectKernels()
-{
-    static const Kernels *selected = [] {
-        const char *forced = std::getenv("FCDRAM_SIMD");
-        if (forced != nullptr && std::strcmp(forced, "scalar") == 0)
-            return &scalarKernels();
-        if (avx2Compiled() && avx2Supported())
-            return &avx2Kernels();
-        return &scalarKernels();
-    }();
-    return *selected;
-}
-
 } // namespace
 
 const Kernels &
@@ -78,7 +63,10 @@ avx2Supported()
 const Kernels &
 activeKernels()
 {
-    return selectKernels();
+    static const Kernels &selected =
+        avx2Compiled() && avx2Supported() ? avx2Kernels()
+                                          : scalarKernels();
+    return selected;
 }
 
 } // namespace fcdram::simd

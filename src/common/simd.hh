@@ -5,12 +5,12 @@
  * deterministically or queueing it for an actual draw) and the analog
  * blend of partial restores. The scalar implementations are always
  * compiled and act as the golden reference; an AVX2 variant is built
- * when the toolchain supports it (see FCDRAM_ENABLE_AVX2 in CMake) and
- * selected at runtime via __builtin_cpu_supports, so one binary runs
+ * on x86-64 (see the SIMD section of CMakeLists.txt) and selected at
+ * runtime via __builtin_cpu_supports, so one binary runs
  * on any x86-64. Every kernel is bit-exact against its scalar
  * counterpart: classification is pure comparisons and the blend uses
  * the same double-precision multiply/add sequence lane-wise (no FMA
- * contraction), verified by tests/test_trialslice.cc on randomized
+ * contraction), verified by tests/test_wordparallel.cc on randomized
  * inputs.
  */
 
@@ -71,8 +71,7 @@ bool avx2Supported();
 
 /**
  * Kernels selected for this process: AVX2 when compiled in and
- * supported by the CPU, scalar otherwise. Setting the environment
- * variable FCDRAM_SIMD=scalar forces the scalar set (diagnostics).
+ * supported by the CPU, scalar otherwise.
  */
 const Kernels &activeKernels();
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * AVX2 variants of the SIMD kernels. This is the only translation unit
- * compiled with -mavx2 (see FCDRAM_ENABLE_AVX2 in CMakeLists.txt);
+ * compiled with -mavx2 (see the SIMD section of CMakeLists.txt);
  * everything else in the library stays baseline x86-64, and callers
  * reach these kernels only through the runtime dispatch in simd.cc.
  *

@@ -131,6 +131,13 @@ struct EngineOptions
      * columns (the acceptance benches use 3). Validated at engine
      * construction (std::invalid_argument on an even or
      * non-positive count).
+     *
+     * Votes are sequential re-executions on the one chip of the
+     * run: each vote re-initializes its rows and executes at a later
+     * DramBender trial (a fresh sense-noise stream), so the votes
+     * share the chip's static per-cell and sense-amplifier
+     * variation. They are not independent trials of fresh chips; a
+     * column that fails from its static offset fails every vote.
      */
     int redundancy = 1;
 

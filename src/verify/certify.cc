@@ -171,10 +171,17 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
         state.lower.assign(columns, 0.0);
     }
 
-    // One voted DRAM measurement: per-trial flips are independent
-    // across trials (fresh analog noise per activation), so the vote
-    // amplifies them with the exact binomial tail; input errors are
-    // common-mode across the trials of one op and compose after.
+    // One voted DRAM measurement. The engine runs the votes as
+    // sequential re-executions on one chip at successive DramBender
+    // trials, so they share the static per-cell and sense-amplifier
+    // variation. The per-column success probabilities already
+    // condition on that variation (SuccessModel::staticOffset), and
+    // what is left -- the sense noise -- is drawn fresh per vote, so
+    // per-vote flips are independent given the column and the vote
+    // amplifies them with the exact binomial tail. bench_certify's
+    // redundancy-3 subsection checks this bound against executed
+    // votes. Input errors are common-mode across the votes of one op
+    // and compose after.
     const auto defineValue =
         [&](ValueId value, const BitVector &mask,
             const std::vector<double> &successWorst,

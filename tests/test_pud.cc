@@ -642,6 +642,80 @@ TEST_F(PudEngineTest, BackendsMatchGoldenOnNoisyModule)
     }
 }
 
+TEST_F(PudEngineTest, AllThreeInputFunctionsMatchTheirTruthTables)
+{
+    // Exhaustive functional completeness: all 256 Boolean functions
+    // of three inputs, each built as the sum of its minterms. Column
+    // j carries truth-table row j % 8 (input i is bit i of the row),
+    // so every function's table repeats across the row. The golden
+    // model must equal the table exactly, and so must every column
+    // the engine did not trust to DRAM (the CPU fallback).
+    const auto *module =
+        session_->findModule(Manufacturer::SkHynix, 4, 'A', 2133);
+    ASSERT_NE(module, nullptr);
+
+    ExprPool pool;
+    const auto inputs = makeColumns(pool, 3);
+    std::map<std::string, BitVector> data;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        BitVector column(bits());
+        for (std::size_t col = 0; col < bits(); ++col)
+            column.set(col, ((col % 8) >> i) & 1);
+        data.emplace("c" + std::to_string(i), std::move(column));
+    }
+
+    const auto sumOfProducts = [&](unsigned function) {
+        std::vector<ExprId> minterms;
+        for (unsigned row = 0; row < 8; ++row) {
+            if (((function >> row) & 1) == 0)
+                continue;
+            std::vector<ExprId> literals;
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                literals.push_back(((row >> i) & 1)
+                                       ? inputs[i]
+                                       : pool.mkNot(inputs[i]));
+            }
+            minterms.push_back(pool.mkAnd(literals));
+        }
+        // The empty sum (constant 0) as a contradiction.
+        if (minterms.empty())
+            return pool.mkAnd(inputs[0], pool.mkNot(inputs[0]));
+        return pool.mkOr(minterms);
+    };
+
+    for (const BackendChoice choice :
+         {BackendChoice::NandNor, BackendChoice::SimraMaj}) {
+        EngineOptions options;
+        options.backend = choice;
+        const PudEngine engine(session_, options);
+        Chip chip = session_->checkoutChip(*module);
+        const RowAllocator allocator(chip, 29, options.allocator);
+        std::size_t dramBits = 0;
+        for (unsigned function = 0; function < 256; ++function) {
+            BitVector table(bits());
+            for (std::size_t col = 0; col < bits(); ++col)
+                table.set(col, (function >> (col % 8)) & 1);
+            const ExprId root = sumOfProducts(function);
+            const QueryResult result = engine.execute(
+                engine.compileFor(pool, root, chip), allocator, chip,
+                hashCombine(31, function), data);
+            ASSERT_EQ(result.golden, table)
+                << toString(choice) << " " << pool.toString(root);
+            EXPECT_EQ(result.backend,
+                      choice == BackendChoice::NandNor
+                          ? ComputeBackend::NandNor
+                          : ComputeBackend::SimraMaj);
+            ASSERT_EQ(result.mask.size(), bits());
+            EXPECT_EQ((result.output ^ table) & ~result.mask,
+                      BitVector(bits()))
+                << toString(choice) << " " << pool.toString(root);
+            dramBits += result.mask.popcount();
+        }
+        // The sweep must exercise DRAM, not only the CPU fallback.
+        EXPECT_GT(dramBits, 0u) << toString(choice);
+    }
+}
+
 TEST_F(PudEngineTest, FanInClampsToDecoderCapability)
 {
     // tinyGeometry subarrays have 32 rows: the decoder caps SiMRA
