@@ -105,7 +105,7 @@ struct OpThroughput
  */
 OpThroughput
 measureProgram(const std::string &name, int iters,
-               Program (*build)(Ops &, const Chip &), int rowsPerOp)
+               Program (*build)(const Chip &), int rowsPerOp)
 {
     OpThroughput row;
     row.name = name;
@@ -114,8 +114,7 @@ measureProgram(const std::string &name, int iters,
          {ExecMode::WordParallel, ExecMode::ScalarReference}) {
         Chip chip(benchProfile(), wideGeometry(), 1);
         DramBender bender(chip, 7, mode);
-        Ops ops(bender);
-        const Program program = build(ops, chip);
+        const Program program = build(chip);
         if (program.commands.empty())
             continue;
         const double ops_per_sec = opsPerSecond(
@@ -131,37 +130,38 @@ measureProgram(const std::string &name, int iters,
 }
 
 Program
-buildNotProgram(Ops &ops, const Chip &chip)
+buildNotProgram(const Chip &chip)
 {
     const auto pairs = findActivationPairs(chip, 1, 1, 1, 3);
     if (pairs.empty())
         return Program();
-    return ops.buildNot(0, composeRow(chip.geometry(), 0, pairs[0].first),
-                        composeRow(chip.geometry(), 1,
-                                   pairs[0].second));
+    return copyProgram(chip.profile().speed, 0,
+                       composeRow(chip.geometry(), 0, pairs[0].first),
+                       composeRow(chip.geometry(), 1, pairs[0].second));
 }
 
 Program
-buildNandProgram(Ops &ops, const Chip &chip)
+buildNandProgram(const Chip &chip)
 {
     const auto pairs = findActivationPairs(chip, 2, 2, 1, 3);
     if (pairs.empty())
         return Program();
-    return ops.buildDoubleAct(
-        0, composeRow(chip.geometry(), 0, pairs[0].first),
+    return doubleActProgram(
+        chip.profile().speed, 0,
+        composeRow(chip.geometry(), 0, pairs[0].first),
         composeRow(chip.geometry(), 1, pairs[0].second));
 }
 
 Program
-buildMajProgram(Ops &ops, const Chip &chip)
+buildMajProgram(const Chip &chip)
 {
     const auto pairs = findSimraPairs(chip, 4, 1, 3);
     if (pairs.empty())
         return Program();
-    return ops.buildMaj(0, composeRow(chip.geometry(), 0,
-                                      pairs[0].first),
-                        composeRow(chip.geometry(), 0,
-                                   pairs[0].second));
+    return doubleActProgram(
+        chip.profile().speed, 0,
+        composeRow(chip.geometry(), 0, pairs[0].first),
+        composeRow(chip.geometry(), 0, pairs[0].second));
 }
 
 /** Raw row write + thresholded read, in Mbit/s moved. */
@@ -470,7 +470,6 @@ BM_ExecutorNotTrial(benchmark::State &state)
 {
     Chip chip(benchProfile(), benchGeometry(), 1);
     DramBender bender(chip, 7);
-    Ops ops(bender);
     const auto pairs = findActivationPairs(
         chip, static_cast<int>(state.range(0)),
         static_cast<int>(state.range(0)), 1, 3);
@@ -480,7 +479,8 @@ BM_ExecutorNotTrial(benchmark::State &state)
     }
     const RowId src = composeRow(chip.geometry(), 0, pairs[0].first);
     const RowId dst = composeRow(chip.geometry(), 1, pairs[0].second);
-    const Program program = ops.buildNot(0, src, dst);
+    const Program program =
+        copyProgram(chip.profile().speed, 0, src, dst);
     for (auto _ : state)
         benchmark::DoNotOptimize(bender.execute(program));
     state.SetItemsProcessed(state.iterations());
@@ -492,7 +492,6 @@ BM_ExecutorLogicTrial(benchmark::State &state)
 {
     Chip chip(benchProfile(), benchGeometry(), 1);
     DramBender bender(chip, 7);
-    Ops ops(bender);
     const int n = static_cast<int>(state.range(0));
     const auto pairs = findActivationPairs(chip, n, n, 1, 3);
     if (pairs.empty()) {
@@ -501,7 +500,8 @@ BM_ExecutorLogicTrial(benchmark::State &state)
     }
     const RowId ref = composeRow(chip.geometry(), 0, pairs[0].first);
     const RowId com = composeRow(chip.geometry(), 1, pairs[0].second);
-    const Program program = ops.buildDoubleAct(0, ref, com);
+    const Program program =
+        doubleActProgram(chip.profile().speed, 0, ref, com);
     for (auto _ : state)
         benchmark::DoNotOptimize(bender.execute(program));
     state.SetItemsProcessed(state.iterations());

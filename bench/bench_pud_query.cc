@@ -18,8 +18,15 @@
  *  - the compiled command count of a 16-way AND is strictly lower
  *    than the 15-gate chained 2-input tree on every module that can
  *    activate the fused shape (wide-gate fusion demonstrably pays).
+ *
+ * RESULT_HASH fingerprints every per-module result of both passes
+ * (output, mask, checked and matching bits); it is invariant in
+ * --workers (the CI trace smoke compares it across --workers=1 and
+ * --workers=4).
  */
 
+#include <cinttypes>
+#include <cstdio>
 #include <iostream>
 #include <vector>
 
@@ -217,6 +224,24 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
     report.lap("fleet_tables");
+
+    // Per query, in module order, for the cold then the warm pass.
+    std::uint64_t resultHash = 0;
+    for (const BatchQueryResult *pass : {&cold, &warm}) {
+        for (const FleetQueryStats &stats : pass->queries) {
+            for (const auto &module : stats.modules) {
+                const QueryResult &result = module.result;
+                for (const std::uint64_t word : result.output.words())
+                    resultHash = hashCombine(resultHash, word);
+                for (const std::uint64_t word : result.mask.words())
+                    resultHash = hashCombine(resultHash, word);
+                resultHash = hashCombine(resultHash, result.checkedBits);
+                resultHash =
+                    hashCombine(resultHash, result.matchingBits);
+            }
+        }
+    }
+    std::printf("RESULT_HASH %016" PRIx64 "\n", resultHash);
 
     // ---- Batch ledgers -------------------------------------------
     // One submit stages shared columns once and interleaves the

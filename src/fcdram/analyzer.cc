@@ -146,8 +146,9 @@ SuccessRateAnalyzer::runLogic(const LogicTrialConfig &config)
                              operands[i]);
         }
 
-        bender_.execute(ops_.buildDoubleAct(
-            config.bank, config.refGlobal, config.comGlobal));
+        bender_.execute(doubleActProgram(
+            bender_.chip().profile().speed, config.bank,
+            config.refGlobal, config.comGlobal));
 
         const BitVector expected_com = and_family
                                            ? goldenAnd(operands)

@@ -27,14 +27,14 @@ SubarrayMapper::sameSubarrayProbe(BankId bank, RowId src, RowId dst,
                                   int attempts)
 {
     const GeometryConfig &geometry = bender_.chip().geometry();
-    Ops ops(bender_);
     for (int attempt = 0; attempt < attempts; ++attempt) {
         BitVector pattern(static_cast<std::size_t>(geometry.columns));
         pattern.randomize(rng_);
         BitVector different = ~pattern;
         bender_.writeRow(bank, src, pattern);
         bender_.writeRow(bank, dst, different);
-        bender_.execute(ops.buildRowClone(bank, src, dst));
+        bender_.execute(copyProgram(bender_.chip().profile().speed,
+                                    bank, src, dst));
         const BitVector readback = bender_.readRow(bank, dst);
         // A successful copy reproduces the source pattern (modulo a
         // few weak cells); a cross-subarray pair instead leaves the

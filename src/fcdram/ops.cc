@@ -1,5 +1,6 @@
 #include "fcdram/ops.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -9,15 +10,11 @@
 
 namespace fcdram {
 
-Ops::Ops(DramBender &bender) : bender_(bender)
-{
-}
-
 Program
-Ops::buildDoubleAct(BankId bank, RowId firstGlobal,
-                    RowId secondGlobal) const
+doubleActProgram(const SpeedGrade &speed, BankId bank, RowId firstGlobal,
+                 RowId secondGlobal)
 {
-    ProgramBuilder builder = bender_.newProgram();
+    ProgramBuilder builder(speed);
     builder.act(bank, firstGlobal, 0.0)
         .pre(bank, kViolatedGapTargetNs)
         .act(bank, secondGlobal, kViolatedGapTargetNs)
@@ -26,9 +23,10 @@ Ops::buildDoubleAct(BankId bank, RowId firstGlobal,
 }
 
 Program
-Ops::buildNot(BankId bank, RowId srcGlobal, RowId dstGlobal) const
+copyProgram(const SpeedGrade &speed, BankId bank, RowId srcGlobal,
+            RowId dstGlobal)
 {
-    ProgramBuilder builder = bender_.newProgram();
+    ProgramBuilder builder(speed);
     builder.act(bank, srcGlobal, 0.0)
         .pre(bank, TimingParams::nominal().tRas)
         .act(bank, dstGlobal, kViolatedGapTargetNs)
@@ -37,24 +35,28 @@ Ops::buildNot(BankId bank, RowId srcGlobal, RowId dstGlobal) const
 }
 
 Program
-Ops::buildRowClone(BankId bank, RowId srcGlobal, RowId dstGlobal) const
+fracProgram(const SpeedGrade &speed, BankId bank, RowId helperGlobal,
+            RowId targetGlobal)
 {
-    return buildNot(bank, srcGlobal, dstGlobal);
+    ProgramBuilder builder(speed);
+    builder.act(bank, helperGlobal, 0.0)
+        .pre(bank, kViolatedGapTargetNs)
+        .act(bank, targetGlobal, kViolatedGapTargetNs)
+        .pre(bank, kViolatedGapTargetNs);
+    return builder.build();
 }
 
-Program
-Ops::buildMaj(BankId bank, RowId rfGlobal, RowId rlGlobal) const
+Ops::Ops(DramBender &bender) : bender_(bender)
 {
-    assert(sameSubarray(bender_.chip().geometry(), rfGlobal, rlGlobal));
-    return buildDoubleAct(bank, rfGlobal, rlGlobal);
 }
 
 std::vector<RowId>
 Ops::executeMajActivation(BankId bank, RowId rfGlobal, RowId rlGlobal)
 {
+    assert(sameSubarray(bender_.chip().geometry(), rfGlobal, rlGlobal));
     const obs::DramLabel label("MAJ");
-    const ExecResult result =
-        bender_.execute(buildMaj(bank, rfGlobal, rlGlobal));
+    const ExecResult result = bender_.execute(doubleActProgram(
+        bender_.chip().profile().speed, bank, rfGlobal, rlGlobal));
     std::vector<RowId> rows;
     const GeometryConfig &geometry = bender_.chip().geometry();
     for (const ActivationEvent &event : result.activations) {
@@ -121,8 +123,8 @@ std::vector<RowId>
 Ops::executeNot(BankId bank, RowId srcGlobal, RowId dstGlobal)
 {
     const obs::DramLabel label("NOT");
-    const ExecResult result =
-        bender_.execute(buildNot(bank, srcGlobal, dstGlobal));
+    const ExecResult result = bender_.execute(copyProgram(
+        bender_.chip().profile().speed, bank, srcGlobal, dstGlobal));
     std::vector<RowId> destinations;
     const GeometryConfig &geometry = bender_.chip().geometry();
     for (const ActivationEvent &event : result.activations) {
@@ -141,27 +143,28 @@ Ops::executeRowClone(BankId bank, RowId srcGlobal, RowId dstGlobal)
 {
     assert(sameSubarray(bender_.chip().geometry(), srcGlobal, dstGlobal));
     const obs::DramLabel label("RowClone");
-    const ExecResult result =
-        bender_.execute(buildRowClone(bank, srcGlobal, dstGlobal));
+    const ExecResult result = bender_.execute(copyProgram(
+        bender_.chip().profile().speed, bank, srcGlobal, dstGlobal));
     return !result.activations.empty();
 }
 
 RowId
-findPairActivatingDonor(const Chip &chip, RowId targetLocal,
-                        const std::vector<RowId> &avoidLocal)
+fracHelper(const Chip &chip, RowId targetGlobal,
+           const std::vector<RowId> &avoid)
 {
-    const auto rows =
-        static_cast<RowId>(chip.geometry().rowsPerSubarray);
+    const GeometryConfig &geometry = chip.geometry();
+    const RowAddress target = decomposeRow(geometry, targetGlobal);
+    const auto rows = static_cast<RowId>(geometry.rowsPerSubarray);
+    // XOR-flip scan over the target's subarray for a donor the
+    // decoder's same-subarray glitch opens together with exactly it.
     for (RowId flip = 1; flip < rows; ++flip) {
-        const RowId donor = targetLocal ^ flip;
-        bool excluded = false;
-        for (const RowId r : avoidLocal)
-            excluded |= r == donor;
-        if (excluded)
+        const RowId local = target.localRow ^ flip;
+        const RowId donor = composeRow(geometry, target.subarray, local);
+        if (std::find(avoid.begin(), avoid.end(), donor) != avoid.end())
             continue;
-        const auto set =
-            chip.decoder().sameSubarrayActivation(donor, targetLocal);
-        if (set.size() == 2)
+        if (chip.decoder()
+                .sameSubarrayActivation(local, target.localRow)
+                .size() == 2)
             return donor;
     }
     return kInvalidRow;
@@ -171,33 +174,18 @@ std::optional<RowId>
 Ops::fracInit(BankId bank, RowId rowGlobal,
               const std::vector<RowId> &avoid)
 {
-    const GeometryConfig &geometry = bender_.chip().geometry();
-    const RowAddress address = decomposeRow(geometry, rowGlobal);
-    std::vector<RowId> avoid_local;
-    for (const RowId r : avoid) {
-        const RowAddress a = decomposeRow(geometry, r);
-        if (a.subarray == address.subarray)
-            avoid_local.push_back(a.localRow);
-    }
-    const RowId helper_local = findPairActivatingDonor(
-        bender_.chip(), address.localRow, avoid_local);
-    if (helper_local == kInvalidRow)
+    const RowId helper = fracHelper(bender_.chip(), rowGlobal, avoid);
+    if (helper == kInvalidRow)
         return std::nullopt;
-    const RowId helper =
-        composeRow(geometry, address.subarray, helper_local);
     // Charge-share an all-1s helper with an all-0s target and
     // interrupt the restore: both rows settle near VDD/2.
-    BitVector ones(static_cast<std::size_t>(geometry.columns), true);
-    BitVector zeros(static_cast<std::size_t>(geometry.columns), false);
-    bender_.writeRow(bank, helper, ones);
-    bender_.writeRow(bank, rowGlobal, zeros);
-    ProgramBuilder builder = bender_.newProgram();
-    builder.act(bank, helper, 0.0)
-        .pre(bank, kViolatedGapTargetNs)
-        .act(bank, rowGlobal, kViolatedGapTargetNs)
-        .pre(bank, kViolatedGapTargetNs);
+    const auto columns =
+        static_cast<std::size_t>(bender_.chip().geometry().columns);
+    bender_.writeRow(bank, helper, BitVector(columns, true));
+    bender_.writeRow(bank, rowGlobal, BitVector(columns, false));
     const obs::DramLabel label("Frac");
-    bender_.execute(builder.build());
+    bender_.execute(fracProgram(bender_.chip().profile().speed, bank,
+                                helper, rowGlobal));
     return helper;
 }
 
@@ -238,7 +226,8 @@ Ops::executeLogic(BankId bank, BoolOp op, RowId refAnchor,
     const ExecResult exec = [&] {
         const obs::DramLabel label("Logic");
         return bender_.execute(
-            buildDoubleAct(bank, refAnchor, comAnchor));
+            doubleActProgram(bender_.chip().profile().speed, bank,
+                             refAnchor, comAnchor));
     }();
     (void)exec;
 

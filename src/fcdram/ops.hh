@@ -30,42 +30,52 @@ struct LogicOpResult
 };
 
 /**
+ * The violated-timing double activation ACT first -> PRE -> ACT
+ * second (both gaps at the violated target), followed by a restoring
+ * wait and PRE: the N-input logic sequence on a neighboring-subarray
+ * (RF, RL) pair, and the SiMRA MAJ group activation on a
+ * same-subarray pair. All rows of the decoder's expansion
+ * charge-share, and the final PRE writes the sensed result back.
+ */
+Program doubleActProgram(const SpeedGrade &speed, BankId bank,
+                         RowId firstGlobal, RowId secondGlobal);
+
+/**
+ * The copy program ACT src (full tRAS) -> PRE -> ACT dst (violated
+ * tRP) -> restore wait -> PRE: NOT across neighboring subarrays,
+ * RowClone within one subarray.
+ */
+Program copyProgram(const SpeedGrade &speed, BankId bank,
+                    RowId srcGlobal, RowId dstGlobal);
+
+/**
+ * The Frac program ACT helper -> PRE -> ACT target -> PRE with every
+ * gap violated: the charge-shared restore is interrupted, so an
+ * all-1s helper and an all-0s target both settle near VDD/2.
+ */
+Program fracProgram(const SpeedGrade &speed, BankId bank,
+                    RowId helperGlobal, RowId targetGlobal);
+
+/**
+ * Global donor row that pair-activates with exactly @p targetGlobal
+ * under the decoder's same-subarray glitch: the Frac helper, and the
+ * PuD allocator's RowClone staging row.
+ *
+ * @param avoid Global rows that must not be used as the donor.
+ * @return The donor row, or kInvalidRow when none exists.
+ */
+RowId fracHelper(const Chip &chip, RowId targetGlobal,
+                 const std::vector<RowId> &avoid);
+
+/**
  * High-level FCDRAM operation driver for one chip. Stateless apart
- * from the DramBender session it wraps.
+ * from the DramBender session it wraps; every program it issues
+ * comes from the free builders above.
  */
 class Ops
 {
   public:
     explicit Ops(DramBender &bender);
-
-    /**
-     * The violated-timing double-activation program
-     * ACT first -> PRE -> ACT second (both gaps at the violated
-     * target), followed by a restoring wait and PRE.
-     */
-    Program buildDoubleAct(BankId bank, RowId firstGlobal,
-                           RowId secondGlobal) const;
-
-    /**
-     * The NOT program: ACT src (full tRAS) -> PRE -> ACT dst
-     * (violated tRP) -> restore wait -> PRE.
-     */
-    Program buildNot(BankId bank, RowId srcGlobal,
-                     RowId dstGlobal) const;
-
-    /** RowClone: same program shape as NOT but within one subarray. */
-    Program buildRowClone(BankId bank, RowId srcGlobal,
-                          RowId dstGlobal) const;
-
-    /**
-     * The SiMRA in-subarray MAJ program: the violated double
-     * activation of a same-subarray (RF, RL) pair. All rows of the
-     * decoder's masked expansion charge-share, and the final
-     * (restoring) PRE writes the sensed majority back into every
-     * activated row.
-     */
-    Program buildMaj(BankId bank, RowId rfGlobal,
-                     RowId rlGlobal) const;
 
     /**
      * Execute a NOT from src to dst (both global rows, neighboring
@@ -156,17 +166,6 @@ class Ops
   private:
     DramBender &bender_;
 };
-
-/**
- * Donor local row that pair-activates with exactly @p targetLocal
- * under the decoder's same-subarray glitch: the XOR-flip scan shared
- * by Frac initialization and the PuD RowClone staging search.
- *
- * @param avoidLocal Local rows that must not be used as donors.
- * @return The donor local row, or kInvalidRow when none exists.
- */
-RowId findPairActivatingDonor(const Chip &chip, RowId targetLocal,
-                              const std::vector<RowId> &avoidLocal);
 
 /**
  * Find (rf, rl) local-row pairs on a chip whose neighbor activation

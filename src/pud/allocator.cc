@@ -411,29 +411,20 @@ RowAllocator::gateSlots(int width) const
                     composeRow(geometry, com.subarray, local));
             }
             // Staging rows for RowClone copy-in, pairwise disjoint
-            // and clear of the activation set.
-            std::vector<RowId> avoid;
-            for (const RowId local : sets.secondRows)
-                avoid.push_back(local);
+            // and clear of the activation set: the Frac donor search.
+            std::vector<RowId> avoid = slot.computeRows;
             const double threshold = options_.maskThresholdPercent;
-            // Staging donors share the fracInit XOR-flip search.
-            for (const RowId local : sets.secondRows) {
-                const RowId donor =
-                    findPairActivatingDonor(*chip_, local, avoid);
+            for (const RowId target : slot.computeRows) {
+                const RowId donor = fracHelper(*chip_, target, avoid);
+                slot.stagingRows.push_back(donor);
                 if (donor == kInvalidRow) {
-                    slot.stagingRows.push_back(kInvalidRow);
                     slot.stagingMasks.emplace_back();
                     continue;
                 }
                 avoid.push_back(donor);
-                const RowId donorGlobal =
-                    composeRow(geometry, com.subarray, donor);
-                const RowId targetGlobal =
-                    composeRow(geometry, com.subarray, local);
-                slot.stagingRows.push_back(donorGlobal);
                 slot.stagingMasks.push_back(worstCaseRowCloneMask(
-                    *chip_, context.bank, donorGlobal, targetGlobal,
-                    threshold, temperature_));
+                    *chip_, context.bank, donor, target, threshold,
+                    temperature_));
             }
             slot.andMask = worstCaseLogicMask(
                 *chip_, context.bank, BoolOp::And, refAnchor,

@@ -44,7 +44,6 @@
 #include "pud/allocator.hh"
 #include "pud/compiler.hh"
 #include "verify/certify.hh"
-#include "verify/pressure.hh"
 
 namespace fcdram::pud {
 
@@ -181,13 +180,6 @@ struct EngineOptions
      * evaluated when the verify policy runs (not Off).
      */
     verify::AccuracySlo slo;
-
-    /**
-     * Per-row activation disturbance budget the static pressure
-     * analysis (verify/pressure.hh) checks each derived plan against;
-     * excesses report UPL201 (Warning) into the plan's verdict.
-     */
-    verify::PressureBudget pressure;
 };
 
 /**

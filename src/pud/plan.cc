@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/telemetry.hh"
+#include "verify/pressure.hh"
 #include "verify/verifier.hh"
 
 namespace fcdram::pud {
@@ -206,8 +207,9 @@ PlanCache::plan(std::uint64_t exprHash, const ExprPool &pool,
         obs::Telemetry &tel = obs::global();
 
         // Certify + pressure ride the same derivation: the abstract
-        // interpretation over the placed dataflow (nested span) and
-        // the static activation census, both cached on the plan.
+        // interpretation over the placed dataflow (nested span),
+        // cached on the plan, and the static activation census, whose
+        // over-budget rows (UPL201) land in the verdict.
         {
             obs::Span certifySpan(obs::global(), "plan.certify");
             certifySpan.arg("expr", exprHash);
@@ -217,10 +219,10 @@ PlanCache::plan(std::uint64_t exprHash, const ExprPool &pool,
             plan->certificate = verify::certifyPlan(
                 *program, plan->placement, chip, temperature,
                 engine_->options().redundancy, rowClone);
-            plan->pressure = verify::analyzeActivationPressure(
+            verify::analyzeActivationPressure(
                 *program, plan->placement, chip,
                 engine_->options().redundancy, rowClone,
-                engine_->options().pressure, plan->verification);
+                verify::PressureBudget{}, plan->verification);
             if (tel.metricsOn()) {
                 tel.add(tel.counter("verify.certified_plans"));
                 // Wall-clock observations are gated behind the

@@ -110,9 +110,6 @@ struct PlacementPlan
      * default (all-zero bounds, accuracy 1) when verification is off.
      */
     verify::PlanCertificate certificate;
-
-    /** Static activation census of one execution of this plan. */
-    verify::ActivationPressureProfile pressure;
 };
 
 /**

@@ -11,8 +11,8 @@ namespace fcdram::verify {
 bool
 isViolationEpoch(const char *epoch)
 {
-    static const char *const kEpochs[] = {"MAJ",  "NOT",   "RowClone",
-                                          "Frac", "Logic", "DoubleAct"};
+    static const char *const kEpochs[] = {"MAJ", "NOT", "RowClone",
+                                          "Frac", "Logic"};
     for (const char *candidate : kEpochs) {
         if (std::strcmp(epoch, candidate) == 0)
             return true;

@@ -17,9 +17,9 @@
  *
  *  - UPL105: an Interrupted restore or a Glitch/Short precharge gap
  *    is only legitimate inside an intentionally-violated epoch (the
- *    PR 7 DramLabel labels: "MAJ", "NOT", "RowClone", "Frac",
- *    "Logic"); anywhere else it is an error — a scheduler that
- *    accidentally packs commands that tight would corrupt rows;
+ *    DramLabel labels: "MAJ", "NOT", "RowClone", "Frac", "Logic");
+ *    anywhere else it is an error — a scheduler that accidentally
+ *    packs commands that tight would corrupt rows;
  *  - UPL106: a grossly violated gap on a design whose decoder ignores
  *    violated commands (Micron behaviour) — the command would be
  *    silently dropped, so the program cannot mean what it says;
@@ -40,9 +40,9 @@
 namespace fcdram::verify {
 
 /**
- * True for DramLabel epochs that intentionally violate timing
- * ("MAJ", "NOT", "RowClone", "Frac", "Logic", "DoubleAct"); false
- * for e.g. "RowRead" or the default "program".
+ * True for the DramLabel epochs fcdram/ops issues its
+ * violated-timing programs under ("MAJ", "NOT", "RowClone", "Frac",
+ * "Logic"); false for e.g. "RowRead" or the default "program".
  */
 bool isViolationEpoch(const char *epoch);
 

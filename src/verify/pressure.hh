@@ -1,14 +1,14 @@
 /**
  * @file
  * Static activation-pressure analysis: counts, per (bank, row), the
- * ACT commands one plan's execution implies — from the same
- * synthesized slot programs the command lint checks
- * (verify/synthesis.hh) — and flags rows whose count exceeds a
- * configurable disturbance budget (UPL201).
+ * ACT commands one plan's execution issues — from the programs
+ * verify::opPrograms() builds with the engine's own fcdram/ops
+ * builders, the same ones the command lint checks — and flags rows
+ * whose count exceeds a configurable disturbance budget (UPL201).
  *
- * Unlike the command lint, which synthesizes each distinct slot once
- * (the timing shape is slot-invariant), the pressure analysis counts
- * per *op* and multiplies by the engine's redundancy: the executor
+ * Unlike the command lint, which checks each distinct slot once (the
+ * timing shape is slot-invariant), the pressure analysis counts per
+ * *op* and multiplies by the engine's redundancy: the executor
  * re-issues every slot program on every op occurrence and every
  * majority-vote trial, and rowhammer-style disturbance accumulates
  * per physical activation, not per distinct shape.

@@ -10,11 +10,12 @@
  *  2. the placement lint against the target chip,
  *  3. a mask-temperature consistency check (UPL009), and
  *  4. the command-program lint (verify/cmdlint.hh) over the command
- *     sequences the executor will issue per placed slot — the Frac
- *     reference init, the double-ACT logic sequence, cross-subarray
- *     NOT, the SiMRA MAJ activation, and RowClone copy-in when
- *     enabled — synthesized with the same ProgramBuilder shapes as
- *     fcdram/ops.cc and labeled with their DramLabel epochs.
+ *     programs each placed slot issues — the Frac reference init, the
+ *     double-ACT logic sequence, cross-subarray NOT, the SiMRA MAJ
+ *     activation, and RowClone copy-in when enabled — as listed by
+ *     opPrograms(), which builds them with the same fcdram/ops
+ *     builders the engine executes, labeled with their DramLabel
+ *     epochs.
  *
  * The returned DiagnosticSink is the cached verdict: PlanCache stores
  * it in the PlacementPlan (so a warm submit re-checks nothing) and
@@ -27,7 +28,9 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "bender/program.hh"
 #include "dram/chip.hh"
 #include "pud/allocator.hh"
 #include "pud/compiler.hh"
@@ -55,6 +58,39 @@ class VerifyError : public std::runtime_error
   private:
     DiagnosticSink report_;
 };
+
+/** One command program an op issues, with its DramLabel epoch. */
+struct OpProgram
+{
+    const char *epoch;
+    Program program;
+};
+
+/**
+ * The labeled command programs one majority-vote trial of op @p i
+ * issues under @p placement, built by the fcdram/ops builders the
+ * engine executes (doubleActProgram, copyProgram, fracProgram with
+ * its fracHelper donor):
+ *
+ *  - Wide: the Frac init of the last reference row, the Logic double
+ *    ACT, and, when @p rowCloneCopyIn, one staging->compute RowClone
+ *    per staged compute row;
+ *  - Maj: one Frac init per neutral row (the group's tail rows), then
+ *    the MAJ group activation;
+ *  - Not: the glitched src->dst copy.
+ *
+ * Empty for Load ops, unplaced ops and malformed envelopes (UPL010).
+ * A Frac without a pair-activating donor ends the list: the engine
+ * falls back to the CPU there and issues nothing further. RowClone
+ * programs follow the Logic program (the engine issues them before
+ * it), and one is listed for every staged row, while the engine
+ * clones only operands a Load defines, so the RowClone part is an
+ * upper bound.
+ */
+std::vector<OpProgram> opPrograms(const pud::MicroProgram &program,
+                                  const pud::Placement &placement,
+                                  std::size_t i, const Chip &chip,
+                                  bool rowCloneCopyIn);
 
 /**
  * Statically verify one placed plan against @p chip.

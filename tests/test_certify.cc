@@ -270,6 +270,95 @@ TEST(PressureTest, TinyBudgetFiresUpl201PerHotRow)
     }
 }
 
+TEST(PressureTest, CensusCountsTheActivationsExecutionIssues)
+{
+    // Every readRow is exactly one ACT, so with metrics on
+    // bender.cmd_act - bender.row_reads counts the violated-timing
+    // ACTs a run issued. HostWrite copy-in must match the census
+    // exactly; RowClone copy-in lies between the census without
+    // clones and the census with a clone for every staged row (the
+    // engine clones only operands a Load defines).
+    const auto session =
+        std::make_shared<FleetSession>(CampaignConfig::forTests());
+    const Chip base = session->checkoutChip(
+        ChipProfile::make(Manufacturer::SkHynix, 4, 'M', 8, 2666),
+        0x11D7);
+    const RowAllocator allocator(base, 0x11D7);
+    const auto data = makeData(9, base.geometry().columns, 0xC0FFEE);
+    for (const BackendChoice backend :
+         {BackendChoice::NandNor, BackendChoice::SimraMaj}) {
+        for (const int width : {2, 8}) {
+            for (const bool withNot : {false, true}) {
+                ExprPool pool;
+                std::vector<ExprId> cols;
+                for (int i = 0; i <= width; ++i)
+                    cols.push_back(pool.column(std::string("c") +
+                                               std::to_string(i)));
+                ExprId root = pool.mkAnd(std::vector<ExprId>(
+                    cols.begin(), cols.begin() + width));
+                if (withNot)
+                    root = pool.mkXor({root, pool.mkNot(cols.back())});
+                for (const int redundancy : {1, 3}) {
+                    for (const CopyInMode copyIn :
+                         {CopyInMode::HostWrite, CopyInMode::RowClone}) {
+                        const bool clone = copyIn == CopyInMode::RowClone;
+                        SCOPED_TRACE(
+                            std::string(backend == BackendChoice::NandNor
+                                            ? "NandNor"
+                                            : "SimraMaj") +
+                            " AND-" + std::to_string(width) +
+                            (withNot ? " with NOT/XOR" : "") + " r=" +
+                            std::to_string(redundancy) +
+                            (clone ? " RowClone" : " HostWrite"));
+                        EngineOptions options;
+                        options.backend = backend;
+                        options.redundancy = redundancy;
+                        options.copyIn = copyIn;
+                        const PudEngine engine(session, options);
+                        Chip chip = base;
+                        const MicroProgram program =
+                            engine.compileFor(pool, root, chip);
+                        const Placement placement =
+                            allocator.place(program);
+                        ASSERT_TRUE(placement.complete);
+                        DiagnosticSink sink;
+                        const std::int64_t census =
+                            analyzeActivationPressure(
+                                program, placement, chip, redundancy,
+                                clone, PressureBudget{}, sink)
+                                .totalActivations;
+                        const std::int64_t withoutClones =
+                            analyzeActivationPressure(
+                                program, placement, chip, redundancy,
+                                false, PressureBudget{}, sink)
+                                .totalActivations;
+
+                        const GlobalTelemetryGuard guard;
+                        obs::TelemetryConfig config;
+                        config.metrics = true;
+                        obs::global().configure(config);
+                        engine.execute(program, placement,
+                                       chip.temperature(), chip, 0xACE,
+                                       data);
+                        const obs::Telemetry &tel = obs::global();
+                        ASSERT_EQ(tel.value("engine.cpu_fallbacks"), 0u);
+                        const auto issued = static_cast<std::int64_t>(
+                            tel.value("bender.cmd_act") -
+                            tel.value("bender.row_reads"));
+                        EXPECT_GT(issued, 0);
+                        if (clone) {
+                            EXPECT_LE(issued, census);
+                            EXPECT_GE(issued, withoutClones);
+                        } else {
+                            EXPECT_EQ(issued, census);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---- QueryService SLO enforcement -----------------------------------
 
 namespace {

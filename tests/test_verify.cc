@@ -459,10 +459,11 @@ TEST_F(VerifyPlacementTest, VerifyPlanAcceptsRealPlacement)
 TEST(CmdlintTest, ViolationEpochsMatchDramLabels)
 {
     for (const char *epoch :
-         {"MAJ", "NOT", "RowClone", "Frac", "Logic", "DoubleAct"})
+         {"MAJ", "NOT", "RowClone", "Frac", "Logic"})
         EXPECT_TRUE(isViolationEpoch(epoch)) << epoch;
     EXPECT_FALSE(isViolationEpoch("program"));
     EXPECT_FALSE(isViolationEpoch("RowRead"));
+    EXPECT_FALSE(isViolationEpoch("DoubleAct")); // No label issues it.
 }
 
 TEST(CmdlintTest, Upl101NonMonotonicIssueTime)

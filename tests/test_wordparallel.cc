@@ -90,8 +90,9 @@ exerciseChip(Chip &chip, ExecMode mode)
 
     // Cross-subarray N-input logic (unrestored charge share).
     const Program logic =
-        ops.buildDoubleAct(0, composeRow(geometry, 1, 1),
-                           composeRow(geometry, 2, 1));
+        doubleActProgram(chip.profile().speed, 0,
+                         composeRow(geometry, 1, 1),
+                         composeRow(geometry, 2, 1));
     bender.execute(logic);
     reads.push_back(bender.readRow(0, composeRow(geometry, 2, 1)));
 

@@ -6,7 +6,8 @@
  * sweep plus MAJ gates) for each of the paper's manufacturer profiles,
  * places the programs on a fresh chip, and runs the full static
  * verifier (verify::verifyPlan) over each plan: μprogram dataflow,
- * placement/capability, and the synthesized command programs. Prints a
+ * placement/capability, and the command programs the engine issues
+ * (built by the fcdram/ops builders, verify::opPrograms). Prints a
  * per-plan text report to stdout, optionally dumps the findings as
  * JSON (--json-out=PATH, consumed by CI as a build artifact), and
  * exits non-zero when any Error-severity diagnostic fired — the same
