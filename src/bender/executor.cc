@@ -12,7 +12,6 @@
 #include "analog/successmodel.hh"
 #include "common/bitvector.hh"
 #include "common/mathutil.hh"
-#include "common/simd.hh"
 #include "dram/address.hh"
 #include "dram/openbitline.hh"
 
@@ -57,6 +56,50 @@ blendWords(std::span<std::uint64_t> dst,
 {
     for (std::size_t i = 0; i < dst.size(); ++i)
         dst[i] = (dst[i] & ~mask[i]) | (src[i] & mask[i]);
+}
+
+/**
+ * Margin classification by coupling class: column i with class
+ * c = classes[i] (0..2) succeeds deterministically when
+ * margins3[c] > bound (bit i of @p detWords set), fails
+ * deterministically when margins3[c] < -bound (bit clear), and is
+ * ambiguous otherwise (i appended to @p ambiguous, which must hold
+ * one entry per column). @p detWords is fully overwritten. Returns the
+ * number of ambiguous columns.
+ */
+std::size_t
+classifyMarginsByClass(std::span<const std::uint8_t> classes,
+                       const double *margins3, double bound,
+                       std::span<std::uint64_t> detWords,
+                       std::uint32_t *ambiguous)
+{
+    std::fill(detWords.begin(), detWords.end(), 0);
+    std::size_t amb = 0;
+    for (std::size_t i = 0; i < classes.size(); ++i) {
+        const double margin = margins3[classes[i]];
+        if (margin > bound)
+            detWords[i / 64] |= std::uint64_t{1} << (i % 64);
+        else if (!(margin < -bound))
+            ambiguous[amb++] = static_cast<std::uint32_t>(i);
+    }
+    return amb;
+}
+
+/**
+ * Partial-restore drive: each value moves toward its nearest rail by
+ * v + progress * (rail - v), except inside the metastable band, where
+ * the bitline has not moved.
+ */
+void
+blendTowardRail(std::span<float> values, double progress)
+{
+    for (float &value : values) {
+        const Volt v = value;
+        if (std::abs(v - kVddHalf) < kMetastableBand)
+            continue;
+        const Volt rail = v > kVddHalf ? kVdd : kGnd;
+        value = static_cast<float>(v + progress * (rail - v));
+    }
 }
 
 /**
@@ -511,7 +554,6 @@ Executor::partialRestore(BankState &state, BankId bank, Ns gapNs)
     const double progress = restoreProgress(gapNs);
     Bank &bank_ref = chip_.bank(bank);
     const GeometryConfig &geometry = chip_.geometry();
-    const auto columns = static_cast<std::size_t>(geometry.columns);
     if (state.pendingMaj) {
         // The connected cells sit at the charge-shared bitline level;
         // the interrupt freezes them there (plus any partial
@@ -520,21 +562,7 @@ Executor::partialRestore(BankState &state, BankId bank, Ns gapNs)
         // once and copied into every connected row's analog lane.
         scratchVolts_.assign(state.pendingBitline.begin(),
                              state.pendingBitline.end());
-        if (scalar()) {
-            for (std::size_t col = 0; col < columns; ++col) {
-                const Volt v = scratchVolts_[col];
-                Volt settled = v;
-                if (std::abs(v - kVddHalf) >= kMetastableBand) {
-                    const Volt rail = v > kVddHalf ? kVdd : kGnd;
-                    settled = v + progress * (rail - v);
-                }
-                scratchVolts_[col] = static_cast<float>(settled);
-            }
-        } else {
-            simd::activeKernels().blendTowardRail(
-                scratchVolts_.data(), columns, progress,
-                kMetastableBand);
-        }
+        blendTowardRail(scratchVolts_, progress);
         for (const RowId row : state.openRows) {
             const RowAddress address = decomposeRow(geometry, row);
             CellArray &cells =
@@ -572,20 +600,7 @@ Executor::partialRestore(BankState &state, BankId bank, Ns gapNs)
             }
             continue;
         }
-        const auto lane = cells.rowLane(address.localRow);
-        if (scalar()) {
-            for (std::size_t col = 0; col < columns; ++col) {
-                const Volt v = lane[col];
-                if (std::abs(v - kVddHalf) < kMetastableBand)
-                    continue; // Metastable: the bitline has not moved.
-                const Volt rail = v > kVddHalf ? kVdd : kGnd;
-                lane[col] =
-                    static_cast<float>(v + progress * (rail - v));
-            }
-        } else {
-            simd::activeKernels().blendTowardRail(
-                lane.data(), columns, progress, kMetastableBand);
-        }
+        blendTowardRail(cells.rowLane(address.localRow), progress);
         cells.collapseIfRail(address.localRow);
     }
 }
@@ -828,7 +843,7 @@ Executor::applyRowClone(BankState &state, BankId bank,
         // Every cell succeeds deterministically: pure word copies.
         det_success.fill(true);
     } else {
-        // SIMD margin classification per coupling class; structurally
+        // Margin classification per coupling class; structurally
         // failing columns override their verdict afterwards (their
         // outcome is a coin flip regardless of the margin).
         scratchFailCols_ = BitVector(columns);
@@ -844,11 +859,9 @@ Executor::applyRowClone(BankState &state, BankId bank,
         const double margins3[3] = {class_margin[0], class_margin[1],
                                     class_margin[2]};
         scratchAmbIdx_.resize(columns);
-        std::size_t amb_count = 0;
-        simd::activeKernels().classifyMarginsByClass(
-            scratchClasses_.data(), columns, margins3, col_bound,
-            det_success.words().data(), scratchAmbIdx_.data(),
-            &amb_count);
+        const std::size_t amb_count = classifyMarginsByClass(
+            scratchClasses_, margins3, col_bound, det_success.words(),
+            scratchAmbIdx_.data());
         for (std::size_t a = 0; a < amb_count; ++a) {
             const ColId col = scratchAmbIdx_[a];
             if (scratchFailCols_.get(col))
@@ -1199,11 +1212,9 @@ Executor::applyNot(BankState &state, BankId bank,
                                             row_margins[1],
                                             row_margins[2]};
                 scratchAmbIdx_.resize(columns);
-                std::size_t amb_count = 0;
-                simd::activeKernels().classifyMarginsByClass(
-                    scratchClasses_.data(), columns, margins3,
-                    col_bound, success_mask.words().data(),
-                    scratchAmbIdx_.data(), &amb_count);
+                const std::size_t amb_count = classifyMarginsByClass(
+                    scratchClasses_, margins3, col_bound,
+                    success_mask.words(), scratchAmbIdx_.data());
                 {
                     // Deterministic successes count only inside the
                     // domain and never on failing columns.

@@ -213,23 +213,20 @@ Ops::initReference(BankId bank, BoolOp op,
 }
 
 LogicOpResult
-Ops::executeLogic(BankId bank, BoolOp op, RowId refAnchor,
-                  RowId comAnchor, const std::vector<RowId> &refRows,
+Ops::executeLogic(BankId bank, RowId refAnchor, RowId comAnchor,
+                  const std::vector<RowId> &refRows,
                   const std::vector<RowId> &computeRows)
 {
-    (void)op;
     assert(!refRows.empty() && !computeRows.empty());
     const GeometryConfig &geometry = bender_.chip().geometry();
     const RowAddress ref = decomposeRow(geometry, refAnchor);
     const RowAddress com = decomposeRow(geometry, comAnchor);
 
-    const ExecResult exec = [&] {
+    {
         const obs::DramLabel label("Logic");
-        return bender_.execute(
-            doubleActProgram(bender_.chip().profile().speed, bank,
-                             refAnchor, comAnchor));
-    }();
-    (void)exec;
+        bender_.execute(doubleActProgram(bender_.chip().profile().speed,
+                                         bank, refAnchor, comAnchor));
+    }
 
     LogicOpResult result;
     result.columns = sharedColumns(geometry, ref.subarray, com.subarray);

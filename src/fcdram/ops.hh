@@ -115,18 +115,18 @@ class Ops
 
     /**
      * Execute an N-input logic operation. The reference rows must
-     * already be initialized (initReference) and the operand rows
-     * written. The violated sequence is issued to the original
-     * (RF, RL) anchor pair whose activation defined the row sets;
-     * using any other pair would activate a different set.
+     * already be initialized (initReference, which fixes the
+     * operation) and the operand rows written. The violated sequence
+     * is issued to the original (RF, RL) anchor pair whose activation
+     * defined the row sets; using any other pair would activate a
+     * different set.
      *
-     * @param op And, Or, Nand, or Nor.
      * @param refAnchor The RF row (global) of the discovered pair.
      * @param comAnchor The RL row (global) of the discovered pair.
      * @param refRows N reference rows (global, one subarray).
      * @param computeRows N compute rows (global, neighboring subarray).
      */
-    LogicOpResult executeLogic(BankId bank, BoolOp op, RowId refAnchor,
+    LogicOpResult executeLogic(BankId bank, RowId refAnchor,
                                RowId comAnchor,
                                const std::vector<RowId> &refRows,
                                const std::vector<RowId> &computeRows);

@@ -228,7 +228,7 @@ class FleetSession
         std::vector<Accum> partials(fleetModules.size());
         scheduler_.run(fleetModules.size(), [&](std::size_t i) {
             const Module &module = fleetModules[i];
-            const obs::MetricScope scope(module.index);
+            const obs::ModuleScope scope(module.index);
             obs::Span span(obs::global(), "fleet.task");
             span.arg("module",
                      static_cast<std::uint64_t>(module.index));

@@ -25,19 +25,10 @@ constexpr double kTailCmdNs = 8.0;
 /** Idle gap inserted between recorded programs on one timeline. */
 constexpr double kInterProgramGapNs = 10.0;
 
-/** Calling thread's 1-based module shard scope; 0 = unscoped. */
+/** Calling thread's 1-based module scope; 0 = unscoped. */
 thread_local std::uint64_t tls_module = 0;
 
 thread_local const char *tls_dram_label = nullptr;
-
-struct TlsShardCache
-{
-    const void *owner = nullptr;
-    std::uint64_t generation = 0;
-    std::uint64_t module = 0;
-    void *shard = nullptr;
-};
-thread_local TlsShardCache tls_shard;
 
 struct TlsBufCache
 {
@@ -71,10 +62,10 @@ namespace {
 
 /**
  * Process-global generation source. Generations key the thread-local
- * shard/buffer caches together with the owner pointer; drawing them
+ * span-buffer cache together with the owner pointer; drawing them
  * from one monotonic counter guarantees a new instance constructed at
  * a dead instance's address can never revalidate that instance's
- * cached pointers.
+ * cached pointer.
  */
 std::uint64_t
 nextGeneration()
@@ -146,8 +137,11 @@ void
 Telemetry::reset()
 {
     configure(TelemetryConfig{});
+    {
+        const std::lock_guard<std::mutex> lock(regMutex_);
+        std::fill(cells_.begin(), cells_.end(), 0);
+    }
     const std::lock_guard<std::mutex> lock(dataMutex_);
-    shards_.clear();
     threadBufs_.clear();
     dramEvents_.clear();
     dramCursorNs_.clear();
@@ -186,10 +180,10 @@ Telemetry::registerMetric(const std::string &name, Kind kind,
     def.name = name;
     def.kind = kind;
     def.bounds = std::move(bounds);
-    def.slot = totalCells_;
+    def.slot = cells_.size();
     def.cells =
         kind == Kind::Histogram ? def.bounds.size() + 2 : 1;
-    totalCells_ += def.cells;
+    cells_.resize(def.slot + def.cells, 0);
     defs_.push_back(std::move(def));
     const MetricId id = defs_.size() - 1;
     names_.emplace(name, id);
@@ -200,12 +194,6 @@ MetricId
 Telemetry::counter(const std::string &name)
 {
     return registerMetric(name, Kind::Counter, {});
-}
-
-MetricId
-Telemetry::gauge(const std::string &name)
-{
-    return registerMetric(name, Kind::Gauge, {});
 }
 
 MetricId
@@ -222,59 +210,15 @@ Telemetry::findDef(const std::string &name) const
     return it == names_.end() ? nullptr : &defs_[it->second];
 }
 
-Telemetry::Shard &
-Telemetry::shardLocked()
-{
-    const std::uint64_t generation =
-        generation_.load(std::memory_order_relaxed);
-    if (tls_shard.owner == this &&
-        tls_shard.generation == generation &&
-        tls_shard.module == tls_module) {
-        return *static_cast<Shard *>(tls_shard.shard);
-    }
-    std::unique_ptr<Shard> &slot = shards_[tls_module];
-    if (slot == nullptr)
-        slot = std::make_unique<Shard>();
-    tls_shard = {this, generation, tls_module, slot.get()};
-    return *slot;
-}
-
 void
 Telemetry::add(MetricId id, std::uint64_t delta)
 {
     if (!metricsOn())
         return;
-    std::size_t slot;
-    {
-        const std::lock_guard<std::mutex> lock(regMutex_);
-        if (id >= defs_.size() || defs_[id].kind == Kind::Histogram)
-            throw std::logic_error("Telemetry::add: bad metric id");
-        slot = defs_[id].slot;
-    }
-    const std::lock_guard<std::mutex> lock(dataMutex_);
-    Shard &shard = shardLocked();
-    if (shard.cells.size() <= slot)
-        shard.cells.resize(slot + 1, 0);
-    shard.cells[slot] += delta;
-}
-
-void
-Telemetry::set(MetricId id, std::uint64_t value)
-{
-    if (!metricsOn())
-        return;
-    std::size_t slot;
-    {
-        const std::lock_guard<std::mutex> lock(regMutex_);
-        if (id >= defs_.size() || defs_[id].kind != Kind::Gauge)
-            throw std::logic_error("Telemetry::set: not a gauge");
-        slot = defs_[id].slot;
-    }
-    const std::lock_guard<std::mutex> lock(dataMutex_);
-    Shard &shard = shardLocked();
-    if (shard.cells.size() <= slot)
-        shard.cells.resize(slot + 1, 0);
-    shard.cells[slot] = value;
+    const std::lock_guard<std::mutex> lock(regMutex_);
+    if (id >= defs_.size() || defs_[id].kind != Kind::Counter)
+        throw std::logic_error("Telemetry::add: bad metric id");
+    cells_[defs_[id].slot] += delta;
 }
 
 void
@@ -282,32 +226,19 @@ Telemetry::observe(MetricId id, double value)
 {
     if (!metricsOn())
         return;
-    std::size_t slot;
-    std::size_t bucket;
-    std::size_t numBounds;
-    {
-        const std::lock_guard<std::mutex> lock(regMutex_);
-        if (id >= defs_.size() || defs_[id].kind != Kind::Histogram)
-            throw std::logic_error(
-                "Telemetry::observe: not a histogram");
-        const MetricDef &def = defs_[id];
-        slot = def.slot;
-        numBounds = def.bounds.size();
-        bucket = static_cast<std::size_t>(
-            std::lower_bound(def.bounds.begin(), def.bounds.end(),
-                             value) -
-            def.bounds.begin());
-    }
-    // Sums are llround'd so shard merging stays integer-exact (the
+    // Sums are llround'd so they stay integer-exact (the
     // worker-invariance contract); negative observations clamp to 0.
     const auto rounded = static_cast<std::uint64_t>(
         std::llround(std::max(0.0, value)));
-    const std::lock_guard<std::mutex> lock(dataMutex_);
-    Shard &shard = shardLocked();
-    if (shard.cells.size() < slot + numBounds + 2)
-        shard.cells.resize(slot + numBounds + 2, 0);
-    shard.cells[slot + bucket] += 1; // bucket == numBounds: overflow.
-    shard.cells[slot + numBounds + 1] += rounded;
+    const std::lock_guard<std::mutex> lock(regMutex_);
+    if (id >= defs_.size() || defs_[id].kind != Kind::Histogram)
+        throw std::logic_error("Telemetry::observe: not a histogram");
+    const MetricDef &def = defs_[id];
+    const auto bucket = static_cast<std::size_t>(
+        std::lower_bound(def.bounds.begin(), def.bounds.end(), value) -
+        def.bounds.begin());
+    cells_[def.slot + bucket] += 1; // bucket == bounds: overflow.
+    cells_[def.slot + def.bounds.size() + 1] += rounded;
 }
 
 void
@@ -414,74 +345,29 @@ Telemetry::endSpan(const Span &span)
     buf.events.push_back(std::move(event));
 }
 
-std::vector<std::uint64_t>
-Telemetry::mergedCells() const
-{
-    std::size_t total;
-    std::vector<char> isGauge;
-    {
-        const std::lock_guard<std::mutex> lock(regMutex_);
-        total = totalCells_;
-        isGauge.assign(total, 0);
-        for (const MetricDef &def : defs_) {
-            if (def.kind == Kind::Gauge)
-                isGauge[def.slot] = 1;
-        }
-    }
-    std::vector<std::uint64_t> merged(total, 0);
-    const std::lock_guard<std::mutex> lock(dataMutex_);
-    // Shards merge in sorted module key order (std::map).
-    // Counter/histogram cells are sums and gauges are maxima, so the
-    // merged view is order-independent by construction; the sorted
-    // walk is belt and braces (and what the tests pin down).
-    for (const auto &[key, shard] : shards_) {
-        const std::size_t n = std::min(shard->cells.size(), total);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (isGauge[i])
-                merged[i] = std::max(merged[i], shard->cells[i]);
-            else
-                merged[i] += shard->cells[i];
-        }
-    }
-    return merged;
-}
-
 std::uint64_t
 Telemetry::value(const std::string &name) const
 {
-    std::size_t slot;
-    {
-        const std::lock_guard<std::mutex> lock(regMutex_);
-        const MetricDef *def = findDef(name);
-        if (def == nullptr)
-            return 0;
-        if (def->kind == Kind::Histogram)
-            throw std::logic_error("Telemetry::value: '" + name +
-                                   "' is a histogram");
-        slot = def->slot;
-    }
-    const std::vector<std::uint64_t> merged = mergedCells();
-    return slot < merged.size() ? merged[slot] : 0;
+    const std::lock_guard<std::mutex> lock(regMutex_);
+    const MetricDef *def = findDef(name);
+    if (def == nullptr)
+        return 0;
+    if (def->kind == Kind::Histogram)
+        throw std::logic_error("Telemetry::value: '" + name +
+                               "' is a histogram");
+    return cells_[def->slot];
 }
 
 std::vector<std::uint64_t>
 Telemetry::histogramCells(const std::string &name) const
 {
-    std::size_t slot;
-    std::size_t cells;
-    {
-        const std::lock_guard<std::mutex> lock(regMutex_);
-        const MetricDef *def = findDef(name);
-        if (def == nullptr || def->kind != Kind::Histogram)
-            return {};
-        slot = def->slot;
-        cells = def->cells;
-    }
-    const std::vector<std::uint64_t> merged = mergedCells();
-    if (slot + cells > merged.size())
+    const std::lock_guard<std::mutex> lock(regMutex_);
+    const MetricDef *def = findDef(name);
+    if (def == nullptr || def->kind != Kind::Histogram)
         return {};
-    return {merged.begin() + static_cast<std::ptrdiff_t>(slot),
-            merged.begin() + static_cast<std::ptrdiff_t>(slot + cells)};
+    const auto first =
+        cells_.begin() + static_cast<std::ptrdiff_t>(def->slot);
+    return {first, first + static_cast<std::ptrdiff_t>(def->cells)};
 }
 
 std::vector<double>
@@ -555,33 +441,23 @@ Telemetry::dramEventCount() const
 void
 Telemetry::writeMetricsText(std::ostream &os) const
 {
-    std::vector<MetricDef> defs;
-    std::map<std::string, MetricId> names;
-    {
-        const std::lock_guard<std::mutex> lock(regMutex_);
-        defs = defs_;
-        names = names_;
-    }
-    const std::vector<std::uint64_t> merged = mergedCells();
-    const auto cell = [&](std::size_t index) -> std::uint64_t {
-        return index < merged.size() ? merged[index] : 0;
-    };
-    for (const auto &[name, id] : names) {
-        const MetricDef &def = defs[id];
-        if (def.kind != Kind::Histogram) {
-            os << name << ' ' << jsonNumber(cell(def.slot)) << '\n';
+    const std::lock_guard<std::mutex> lock(regMutex_);
+    for (const auto &[name, id] : names_) {
+        const MetricDef &def = defs_[id];
+        if (def.kind == Kind::Counter) {
+            os << name << ' ' << jsonNumber(cells_[def.slot]) << '\n';
             continue;
         }
         std::uint64_t cumulative = 0;
         for (std::size_t b = 0; b < def.bounds.size(); ++b) {
-            cumulative += cell(def.slot + b);
+            cumulative += cells_[def.slot + b];
             os << name << "{le=" << jsonNumber(def.bounds[b]) << "} "
                << jsonNumber(cumulative) << '\n';
         }
-        cumulative += cell(def.slot + def.bounds.size());
+        cumulative += cells_[def.slot + def.bounds.size()];
         os << name << "{le=+Inf} " << jsonNumber(cumulative) << '\n';
         os << name << ".sum "
-           << jsonNumber(cell(def.slot + def.bounds.size() + 1))
+           << jsonNumber(cells_[def.slot + def.bounds.size() + 1])
            << '\n';
         os << name << ".count " << jsonNumber(cumulative) << '\n';
     }
@@ -687,12 +563,12 @@ Telemetry::writeTraceFile(const std::string &path) const
     return static_cast<bool>(file);
 }
 
-MetricScope::MetricScope(std::uint64_t module) : savedModule_(tls_module)
+ModuleScope::ModuleScope(std::uint64_t module) : savedModule_(tls_module)
 {
-    tls_module = module + 1; // 0 stays the unscoped shard.
+    tls_module = module + 1; // 0 stays the unscoped timeline.
 }
 
-MetricScope::~MetricScope()
+ModuleScope::~ModuleScope()
 {
     tls_module = savedModule_;
 }

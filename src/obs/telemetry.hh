@@ -3,10 +3,8 @@
  * Fleet telemetry: an always-compiled observability subsystem with
  * three pillars, each independently switchable and near-free when off.
  *
- *  - Metrics registry: counters, gauges, and fixed-bucket histograms
- *    registered by name. Values live in per-module shards
- *    selected by a thread-local MetricScope (set by the FleetSession
- *    fan-out templates) and merge in deterministic sorted shard order,
+ *  - Metrics registry: counters and fixed-bucket histograms
+ *    registered by name. Values live in one store of integer cells,
  *    so enabling metrics never breaks the worker-count-invariance
  *    contract: every registered value is an integer (counts, or sums
  *    of llround'd observations), addition is order-independent, and
@@ -130,19 +128,11 @@ class Telemetry
      * Names are dot-separated `<subsystem>.<noun>[_<unit>]`.
      */
     MetricId counter(const std::string &name);
-    MetricId gauge(const std::string &name);
     MetricId histogram(const std::string &name,
                        const std::vector<double> &bucketBounds);
 
-    /** Add @p delta to a counter in the current shard. */
+    /** Add @p delta to a counter. */
     void add(MetricId id, std::uint64_t delta = 1);
-
-    /**
-     * Set a gauge in the current shard. Shards merge gauges by max
-     * (order-independent), so fleet-wide a gauge reads "largest value
-     * any shard saw".
-     */
-    void set(MetricId id, std::uint64_t value);
 
     /** Record one histogram observation (value in the metric's unit). */
     void observe(MetricId id, double value);
@@ -169,13 +159,13 @@ class Telemetry
     // ---- snapshots (tests, benches) ------------------------------
 
     /**
-     * Merged value of a registered counter or gauge; 0 when the name
-     * is unknown. Throws std::logic_error for a histogram name.
+     * Value of a registered counter; 0 when the name is unknown.
+     * Throws std::logic_error for a histogram name.
      */
     std::uint64_t value(const std::string &name) const;
 
     /**
-     * Merged cells of a histogram: per-bucket counts (bucket i counts
+     * Cells of a histogram: per-bucket counts (bucket i counts
      * observations <= bound i, non-cumulative), then the overflow
      * count, then the sum of llround'd observations. Empty when the
      * name is unknown.
@@ -193,8 +183,7 @@ class Telemetry
     /**
      * Estimated q-quantile (q in [0, 1]) of a registered histogram,
      * linearly interpolated within the covering bucket
-     * (quantileFromHistogramCells over this histogram's merged
-     * cells). 0 when the name is unknown or the histogram is empty.
+     * (quantileFromHistogramCells over this histogram's cells). 0 when the name is unknown or the histogram is empty.
      */
     double histogramQuantile(const std::string &name, double q) const;
 
@@ -207,7 +196,7 @@ class Telemetry
      * Deterministic plain-text dump of every registered metric,
      * sorted by name; histograms render as cumulative `name{le=B} n`
      * lines plus `.sum` / `.count`. Byte-identical across worker
-     * counts by the sharding contract.
+     * counts because every cell is an integer sum.
      */
     void writeMetricsText(std::ostream &os) const;
 
@@ -224,20 +213,15 @@ class Telemetry
   private:
     friend class Span;
 
-    enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
+    enum class Kind : std::uint8_t { Counter, Histogram };
 
     struct MetricDef
     {
         std::string name;
         Kind kind = Kind::Counter;
         std::vector<double> bounds; ///< Histogram bucket upper bounds.
-        std::size_t slot = 0;       ///< First cell in shard storage.
+        std::size_t slot = 0;       ///< First cell in cells_.
         std::size_t cells = 1;      ///< Cells this metric occupies.
-    };
-
-    struct Shard
-    {
-        std::vector<std::uint64_t> cells;
     };
 
     struct TraceEvent
@@ -260,12 +244,6 @@ class Telemetry
                             std::vector<double> bounds);
     const MetricDef *findDef(const std::string &name) const;
 
-    /** Shard of the calling thread's module scope. */
-    Shard &shardLocked();
-
-    /** Merged cell values over all shards, in slot order. */
-    std::vector<std::uint64_t> mergedCells() const;
-
     void endSpan(const Span &span);
     ThreadBuf &threadBuf();
 
@@ -275,19 +253,21 @@ class Telemetry
     std::atomic<bool> wallClockOn_{false};
 
     /**
-     * Validates thread-local caches together with the instance
-     * address. Drawn from a process-global counter at construction
-     * and on reset(), so values are unique across instance lifetimes.
+     * Validates the thread-local span-buffer cache together with the
+     * instance address. Drawn from a process-global counter at
+     * construction and on reset(), so values are unique across
+     * instance lifetimes.
      */
     std::atomic<std::uint64_t> generation_{0};
 
+    /** Guards the metric definitions and their cells. */
     mutable std::mutex regMutex_;
     std::vector<MetricDef> defs_;
     std::map<std::string, MetricId> names_;
-    std::size_t totalCells_ = 0;
+    std::vector<std::uint64_t> cells_; ///< Every metric's cells, by slot.
 
+    /** Guards the span buffers and the DRAM trace. */
     mutable std::mutex dataMutex_;
-    std::map<std::uint64_t, std::unique_ptr<Shard>> shards_;
     std::vector<std::unique_ptr<ThreadBuf>> threadBufs_;
     std::vector<TraceEvent> dramEvents_;
     std::map<std::uint64_t, double> dramCursorNs_;
@@ -312,18 +292,18 @@ double quantileFromHistogramCells(const std::vector<double> &bounds,
                                   double q);
 
 /**
- * RAII per-module shard selector for the calling thread. Set by
- * the FleetSession fan-out templates around each per-module task, so
- * metric writes land in deterministic shards and DRAM trace events
- * land on the right module timeline. Nests (saves and restores).
+ * RAII module selector for the calling thread. Set by the
+ * FleetSession fan-out templates around each per-module task, so DRAM
+ * trace events land on that module's timeline. Nests (saves and
+ * restores).
  */
-class MetricScope
+class ModuleScope
 {
   public:
-    explicit MetricScope(std::uint64_t module);
-    ~MetricScope();
-    MetricScope(const MetricScope &) = delete;
-    MetricScope &operator=(const MetricScope &) = delete;
+    explicit ModuleScope(std::uint64_t module);
+    ~ModuleScope();
+    ModuleScope(const ModuleScope &) = delete;
+    ModuleScope &operator=(const ModuleScope &) = delete;
 
   private:
     std::uint64_t savedModule_;

@@ -325,12 +325,6 @@ PudEngine::PudEngine(std::shared_ptr<FleetSession> session,
 }
 
 
-MicroProgram
-PudEngine::compile(const ExprPool &pool, ExprId root) const
-{
-    return Compiler(options_.compiler).compile(pool, root);
-}
-
 ComputeBackend
 PudEngine::resolveBackend(const ChipProfile &profile) const
 {
@@ -376,17 +370,15 @@ PudEngine::compileFor(const ExprPool &pool, ExprId root,
                       const Chip &chip) const
 {
     const auto [backend, capability] = backendCapability(chip);
-    CompilerOptions compilerOptions = options_.compiler;
-    compilerOptions.backend = backend;
     // Clamp the gate fan-in to what the chip can activate, so wide
     // gates become trees instead of unplaceable ops on smaller
     // decoders. Chips with no capability at all keep the requested
     // width and fall back per gate at placement.
-    if (capability >= 2) {
-        compilerOptions.maxGateInputs =
-            std::min(compilerOptions.maxGateInputs, capability);
-    }
-    return Compiler(compilerOptions).compile(pool, root);
+    const int maxGateInputs =
+        capability >= 2 ? std::min(options_.maxGateInputs, capability)
+                        : options_.maxGateInputs;
+    return Compiler(CompilerOptions{maxGateInputs, backend})
+        .compile(pool, root);
 }
 
 std::map<std::string, BitVector>
@@ -615,8 +607,8 @@ PudEngine::execute(const MicroProgram &program,
                     }
                 }
                 const LogicOpResult trialResult = ops.executeLogic(
-                    bank, op.family, slot.refAnchor, slot.comAnchor,
-                    slot.refRows, slot.computeRows);
+                    bank, slot.refAnchor, slot.comAnchor, slot.refRows,
+                    slot.computeRows);
                 opCost.add(cost.logicProgram());
                 opCost.add(cost.hostRead());
                 opCost.add(cost.hostRead());

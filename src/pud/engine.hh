@@ -111,15 +111,20 @@ const char *toString(VerifyPolicy policy);
 /** Execution knobs. */
 struct EngineOptions
 {
-    CompilerOptions compiler;
+    /**
+     * Widest gate compileFor may emit (CompilerOptions::maxGateInputs)
+     * before it clamps to the chip's capability. 2 degenerates to a
+     * 2-input gate tree (the fusion ablation).
+     */
+    int maxGateInputs = 16;
+
     AllocatorOptions allocator;
 
     /**
-     * Gate basis queries lower to; overrides compiler.backend. The
-     * default Auto picks per chip from the profiled capability
-     * (ChipProfile::supportsSimra), so SiMRA-capable designs use the
-     * cheaper MAJ basis without explicit opt-in and everything else
-     * falls back to NAND/NOR.
+     * Gate basis queries lower to. The default Auto picks per chip
+     * from the profiled capability (ChipProfile::supportsSimra), so
+     * SiMRA-capable designs use the cheaper MAJ basis without explicit
+     * opt-in and everything else falls back to NAND/NOR.
      */
     BackendChoice backend = BackendChoice::Auto;
 
@@ -343,9 +348,6 @@ class PudEngine
     {
         return session_;
     }
-
-    /** Lower an expression with the engine's compiler options as-is. */
-    MicroProgram compile(const ExprPool &pool, ExprId root) const;
 
     /**
      * Lower an expression for one chip: resolves the backend choice

@@ -22,11 +22,11 @@ namespace {
 using namespace fcdram::pud;
 
 /**
- * Telemetry tests: registry semantics (counters, gauges, histogram
- * bucketing, scope sharding, gauge max-merge), disabled-pillar
+ * Telemetry tests: registry semantics (counters, histogram
+ * bucketing, counting across module scopes), disabled-pillar
  * no-op guarantees, span nesting well-formedness, a full trace JSON
  * round-trip through a minimal parser, the worker-count invariance
- * of the merged metrics dump under a real QueryService workload, and
+ * of the metrics dump under a real QueryService workload, and
  * the plan-cache ledger mirrored into the registry.
  */
 
@@ -250,35 +250,15 @@ TEST(TelemetryRegistry, CountersAccumulateAcrossScopesAndMerge)
     const obs::MetricId c = tel.counter("t.count");
     tel.add(c);
     {
-        const obs::MetricScope scope(0);
+        const obs::ModuleScope scope(0);
         tel.add(c, 2);
     }
     {
-        const obs::MetricScope scope(1);
+        const obs::ModuleScope scope(1);
         tel.add(c, 4);
     }
     EXPECT_EQ(tel.value("t.count"), 7u);
     EXPECT_EQ(tel.value("t.unregistered"), 0u);
-}
-
-TEST(TelemetryRegistry, GaugesMergeByMaxAcrossShards)
-{
-    obs::Telemetry tel;
-    tel.configure(metricsOnly());
-    const obs::MetricId g = tel.gauge("t.gauge");
-    {
-        const obs::MetricScope scope(0);
-        tel.set(g, 5);
-    }
-    {
-        const obs::MetricScope scope(1);
-        tel.set(g, 9);
-    }
-    {
-        const obs::MetricScope scope(2);
-        tel.set(g, 3);
-    }
-    EXPECT_EQ(tel.value("t.gauge"), 9u);
 }
 
 TEST(TelemetryRegistry, HistogramBucketBoundaries)
@@ -363,7 +343,6 @@ TEST(TelemetryRegistry, ReRegistrationIsIdempotentByNameOnly)
     obs::Telemetry tel;
     const obs::MetricId c = tel.counter("t.metric");
     EXPECT_EQ(tel.counter("t.metric"), c);
-    EXPECT_THROW((void)tel.gauge("t.metric"), std::logic_error);
     EXPECT_THROW((void)tel.histogram("t.metric", {1.0}),
                  std::logic_error);
     const obs::MetricId h = tel.histogram("t.h", {1.0, 2.0});
@@ -379,10 +358,8 @@ TEST(TelemetryRegistry, DisabledConfigRecordsNothing)
 {
     obs::Telemetry tel; // All pillars default off.
     const obs::MetricId c = tel.counter("t.count");
-    const obs::MetricId g = tel.gauge("t.gauge");
     const obs::MetricId h = tel.histogram("t.hist", {1.0});
     tel.add(c, 10);
-    tel.set(g, 10);
     tel.observe(h, 10.0);
     {
         obs::Span span(tel, "t.span");
@@ -393,7 +370,6 @@ TEST(TelemetryRegistry, DisabledConfigRecordsNothing)
         {{obs::Telemetry::DramCmdKind::Act, 0, 1, 0.0}}, "MAJ");
 
     EXPECT_EQ(tel.value("t.count"), 0u);
-    EXPECT_EQ(tel.value("t.gauge"), 0u);
     EXPECT_EQ(tel.histogramCells("t.hist"),
               (std::vector<std::uint64_t>{0, 0, 0}));
     EXPECT_EQ(tel.spanEventCount(), 0u);
@@ -533,7 +509,7 @@ TEST(TelemetryTrace, DramProgramsAdvanceTheModuleTimeline)
         {obs::Telemetry::DramCmdKind::Act, 0, 1, 0.0},
         {obs::Telemetry::DramCmdKind::Pre, 0, 0, 30.0},
     };
-    const obs::MetricScope scope(2);
+    const obs::ModuleScope scope(2);
     tel.recordDramProgram(program, "MAJ");
     tel.recordDramProgram(program, "MAJ");
 

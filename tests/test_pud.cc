@@ -382,9 +382,9 @@ TEST_F(PudEngineTest, WideGateFusionCutsCommands)
     Chip chip = idealChip();
 
     EngineOptions fusedOptions;
-    fusedOptions.compiler.maxGateInputs = 16;
+    fusedOptions.maxGateInputs = 16;
     EngineOptions chainedOptions;
-    chainedOptions.compiler.maxGateInputs = 2;
+    chainedOptions.maxGateInputs = 2;
 
     const QueryResult fused =
         PudEngine(session_, fusedOptions)
@@ -536,7 +536,7 @@ TEST_F(PudEngineTest, StaleTemperatureMasksAreRejected)
     const RowAllocator allocator(chip, 17);
     EXPECT_EQ(allocator.maskTemperature(), chip.temperature());
     chip.setTemperature(chip.temperature() + 20.0);
-    const MicroProgram program = engine.compile(pool, root);
+    const MicroProgram program = engine.compileFor(pool, root, chip);
     EXPECT_THROW(engine.execute(program, allocator, chip, 17, data),
                  std::invalid_argument);
 
